@@ -49,7 +49,7 @@ USAGE:
                  [--hosts 8] [--sync-rounds N] [--dim 200] [--epochs 16]
                  [--negative 15] [--window 5] [--alpha 0.025]
                  [--combiner mc|avg|sum|mc-pairwise]
-                 [--plan opt|naive|pull] [--wire id-value|memo|delta|quant]
+                 [--plan opt|naive|pull] [--wire id-value|delta|quant]
                  [--sgns per-pair|hogbatch] [--threads 4] [--seed 1]
                  [--min-count 1] [--subsample 1e-4]
                  [--fault-plan 'seed=7,drop=0.02,crash=1@3']
@@ -1109,6 +1109,22 @@ mod tests {
         std::env::remove_var("GW2V_NAK_DELAY_MS");
         std::env::remove_var("GW2V_MAX_RETRIES");
         std::env::remove_var("GW2V_BARRIER_TIMEOUT_MS");
+    }
+
+    #[test]
+    fn wire_flag_takes_three_modes_and_rejects_memo() {
+        let wire_of = |mode: &str| {
+            dist_config_from(&Args::parse(s(&["--wire", mode]), &[]).unwrap()).map(|c| c.wire)
+        };
+        assert_eq!(wire_of("id-value"), Ok(WireMode::IdValue));
+        assert_eq!(wire_of("delta"), Ok(WireMode::Delta));
+        assert_eq!(wire_of("quant"), Ok(WireMode::Quant));
+        // The retired memo mode is a usage error, like any unknown mode.
+        for retired in ["memo", "memoized"] {
+            let err = wire_of(retired).unwrap_err();
+            assert_eq!(err, ArgError(format!("bad wire mode {retired:?}")));
+        }
+        assert!(USAGE.contains("[--wire id-value|delta|quant]"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!                [--trainer seq|hogwild|hogbatch|batched|dist|threaded] [--hosts 8]
 //!                [--dim 200] [--epochs 16] [--negative 15] [--window 5]
 //!                [--alpha 0.025] [--combiner mc|avg|sum] [--plan opt|naive|pull]
-//!                [--wire id-value|memo|delta|quant] [--threads 4] [--seed 1] [--min-count 1]
+//!                [--wire id-value|delta|quant] [--threads 4] [--seed 1] [--min-count 1]
 //! gw2v corpus    graph --out graph.edges [--kind sbm|scale-free] [--nodes 240] [--seed 42]
 //!                walks --edges graph.edges --out walks.txt [--walks 10] [--length 40]
 //!                [--p 1.0] [--q 1.0] [--seed 1] [--holdout 0.2] [--holdout-seed 7]

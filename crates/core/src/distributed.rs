@@ -85,8 +85,8 @@ pub struct DistConfig {
     /// Network model for virtual communication time.
     pub cost: CostModel,
     /// Wire payload mode (§4.4 / Table 3): classic id+value entries,
-    /// the id-memoized value-only format, shadow-diffed delta payloads,
-    /// or u8-quantized rows. See docs/WIRE.md.
+    /// shadow-diffed delta payloads, or u8-quantized rows. See
+    /// docs/WIRE.md.
     pub wire: WireMode,
     /// SGNS inner loop: classic per-pair or shared-negative minibatch
     /// (HogBatch). Part of the checkpoint fingerprint — the RNG streams
@@ -375,9 +375,9 @@ impl DistributedTrainer {
         // reduce/broadcast path recycles its slab and buffers instead of
         // reallocating per round.
         let mut sync_scratch = SyncScratch::new();
-        // Per-run wire-protocol state (memo caches / delta shadows /
-        // quant scratch): epoch-scoped, cleared below at every epoch start
-        // so checkpoint-resumed runs (which cut at epoch boundaries) make
+        // Per-run wire-protocol state (delta shadows / quant scratch):
+        // epoch-scoped, cleared below at every epoch start so
+        // checkpoint-resumed runs (which cut at epoch boundaries) make
         // identical payload-form decisions.
         let mut wire = WireState::for_mode(cfg.wire);
         let mut killed = false;

@@ -374,8 +374,8 @@ impl ThreadedTrainer {
                 let mut pairs = 0u64;
                 let mut scratch = MinibatchScratch::new();
                 let mut sync_scratch = ThreadedSyncScratch::new();
-                // Per-host wire-protocol state (memo caches / delta
-                // shadows / quant scratch). Holds this host's sender keys
+                // Per-host wire-protocol state (delta shadows / quant
+                // scratch). Holds this host's sender keys
                 // (self→*) and receiver keys (*→self); epoch-scoped via
                 // `begin_epoch` at the loop top, which also covers rejoin
                 // re-entry, so payload-form decisions match the

@@ -63,6 +63,5 @@ pub use sync::{sync_round, sync_round_degraded, sync_round_with_scratch, SyncScr
 pub use threaded::{ClusterConfig, ClusterError};
 pub use volume::{CommStats, RoundVolume};
 pub use wire::{
-    open_frame, seal_frame, DeltaForm, DeltaShadow, QuantScratch, WireError, WireMemo, WireMode,
-    WireState,
+    open_frame, seal_frame, DeltaForm, DeltaShadow, QuantScratch, WireError, WireMode, WireState,
 };

@@ -25,7 +25,7 @@ use crate::liveness::Liveness;
 use crate::plan::{AccessSets, SyncConfig, SyncPlan};
 use crate::replica::ModelReplica;
 use crate::volume::{CommStats, RoundVolume};
-use crate::wire::{entry_bytes, quant_entry_bytes, value_bytes, Channel, WireState};
+use crate::wire::{entry_bytes, quant_entry_bytes, Channel, WireState};
 use gw2v_combiner::{CombineAccumulator, CombinerKind};
 use gw2v_graph::partition::{master_block, master_host};
 use gw2v_util::bitvec::BitVec;
@@ -199,15 +199,12 @@ pub fn sync_round_with_scratch(
 /// state ([`crate::wire::WireState`]):
 ///
 /// * `Classic` — the classic id+value accounting, untouched.
-/// * `Memo` — payload id lists are derived per
+/// * `Delta` — payload id lists *and* row values are staged per
 ///   (sender, receiver, layer, channel) exactly as the threaded engine
 ///   ships them — including empty lists for every alive ordered pair,
-///   so the two engines' caches make identical hit/miss decisions — and
-///   hits are accounted at [`value_bytes`] per entry instead of
-///   [`entry_bytes`].
-/// * `Delta` — id lists *and* row values are staged the same way and
-///   fed through the shadow ([`crate::wire::DeltaShadow::submit`]), so
-///   byte accounting reflects full payloads on shadow misses and
+///   so the two engines' shadows make identical hit/miss decisions —
+///   and fed through the shadow ([`crate::wire::DeltaShadow::submit`]),
+///   so byte accounting reflects full payloads on shadow misses and
 ///   mask+changed-rows payloads on hits. Lossless: the model is
 ///   bit-identical to classic.
 /// * `Quant` — stateless; every wire-crossing row is replaced by its
@@ -260,7 +257,6 @@ pub fn sync_round_degraded(
     for layer in 0..n_layers {
         let dim = replicas[0].layers[layer].dim();
         let ebytes = entry_bytes(dim) as u64;
-        let vbytes = value_bytes(dim) as u64;
         let qbytes = quant_entry_bytes(dim) as u64;
         fit_row_buf(delta, dim);
         fit_row_buf(canonical, dim);
@@ -272,13 +268,9 @@ pub fn sync_round_degraded(
             if !live.is_alive(h) {
                 continue;
             }
-            // Memo/delta modes stage the per-destination payload (the
-            // exact entry order the threaded engine ships) instead of
+            // Delta mode stages the per-destination payload (the exact
+            // entry order the threaded engine ships) instead of
             // accounting inline per entry.
-            let mut stage = match wire {
-                WireState::Memo(m) if sparse => m.take_stage(n_hosts),
-                _ => Vec::new(),
-            };
             let (mut stage_ids, mut stage_vals) = match wire {
                 WireState::Delta(d) if sparse => d.take_stage(n_hosts),
                 _ => (Vec::new(), Vec::new()),
@@ -304,7 +296,6 @@ pub fn sync_round_degraded(
                             stats.reduce_bytes += ebytes;
                             stats.reduce_msgs += 1;
                         }
-                        WireState::Memo(_) => stage[owner].push(node),
                         WireState::Delta(_) => {
                             stage_ids[owner].push(node);
                             stage_vals[owner].extend_from_slice(delta);
@@ -320,25 +311,9 @@ pub fn sync_round_degraded(
             if sparse {
                 // Submit for *every* alive ordered pair — the threaded
                 // engine ships a payload (possibly empty) to each peer
-                // every phase, so its caches/shadows advance even on
-                // empty lists.
+                // every phase, so its shadows advance even on empty
+                // lists.
                 match wire {
-                    WireState::Memo(m) => {
-                        for peer in 0..n_hosts {
-                            if peer == h || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let hit = m.submit(h, peer, layer, Channel::Reduce, &stage[peer]);
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = stage[peer].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(h, peer, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage[peer].len() as u64;
-                        }
-                        m.put_stage(stage);
-                    }
                     WireState::Delta(d) => {
                         for peer in 0..n_hosts {
                             if peer == h || !live.is_alive(peer) {
@@ -375,48 +350,12 @@ pub fn sync_round_degraded(
                 _ => ebytes,
             };
             match wire {
-                WireState::Memo(m_) => {
-                    // Memo mode: the dense id list per destination master is
-                    // identical for every sender, and repeats round after
-                    // round while liveness holds — hits from round two on.
-                    let mut stage = m_.take_stage(n_hosts);
-                    for m in 0..n_hosts {
-                        if !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for h in 0..n_hosts {
-                        if !live.is_alive(h) {
-                            continue;
-                        }
-                        for m in 0..n_hosts {
-                            if m == h || !live.is_alive(m) {
-                                continue;
-                            }
-                            let hit = m_.submit(h, m, layer, Channel::Reduce, &stage[m]);
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = stage[m].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(h, m, bytes);
-                            }
-                            stats.reduce_bytes += bytes;
-                            stats.reduce_msgs += stage[m].len() as u64;
-                        }
-                    }
-                    m_.put_stage(stage);
-                }
                 WireState::Delta(d) => {
                     // Delta mode: the dense id list per destination master
-                    // (as memo), plus per-owner block offsets so each
-                    // sender scatters its touched deltas into the dense
-                    // value image by position. Untouched rows are zero
+                    // (identical for every sender, repeating round after
+                    // round while liveness holds), plus per-owner block
+                    // offsets so each sender scatters its touched deltas
+                    // into the dense value image by position. Untouched rows are zero
                     // deltas, unchanged round over round — exactly what
                     // the shadow's changed-row mask skips.
                     let (mut stage_ids, mut stage_vals) = d.take_stage(n_hosts);
@@ -502,14 +441,11 @@ pub fn sync_round_degraded(
         }
 
         // ---- Apply combined deltas at masters; broadcast canonical. ----
-        // Memo/delta modes stage the Opt broadcast payload per master:
-        // the threaded engine builds ONE payload per master per layer
+        // Delta mode stages the Opt broadcast payload per master: the
+        // threaded engine builds ONE payload per master per layer
         // (updated ∩ effectively-owned, node-id order) and ships it to
-        // every peer, so the cache key list is per-sender, not per-pair.
-        let mut bcast_stage = match wire {
-            WireState::Memo(m) if cfg.plan == SyncPlan::RepModelOpt => m.take_stage(n_hosts),
-            _ => Vec::new(),
-        };
+        // every peer, so the shadowed id list is per-sender, not
+        // per-pair.
         let (mut bcast_ids, mut bcast_vals) = match wire {
             WireState::Delta(d) if cfg.plan == SyncPlan::RepModelOpt => d.take_stage(n_hosts),
             _ => (Vec::new(), Vec::new()),
@@ -530,7 +466,6 @@ pub fn sync_round_degraded(
             }
             if cfg.plan == SyncPlan::RepModelOpt {
                 match wire {
-                    WireState::Memo(_) => bcast_stage[owner].push(node_u),
                     WireState::Delta(_) => {
                         bcast_ids[owner].push(node_u);
                         bcast_vals[owner].extend_from_slice(canonical);
@@ -570,33 +505,6 @@ pub fn sync_round_degraded(
         }
         if cfg.plan == SyncPlan::RepModelOpt {
             match wire {
-                WireState::Memo(m_) => {
-                    for sender in 0..n_hosts {
-                        if !live.is_alive(sender) {
-                            continue;
-                        }
-                        for peer in 0..n_hosts {
-                            if peer == sender || !live.is_alive(peer) {
-                                continue;
-                            }
-                            let hit = m_.submit(
-                                sender,
-                                peer,
-                                layer,
-                                Channel::Broadcast,
-                                &bcast_stage[sender],
-                            );
-                            let per = if hit { vbytes } else { ebytes };
-                            let bytes = bcast_stage[sender].len() as u64 * per;
-                            if bytes > 0 {
-                                volume.record(sender, peer, bytes);
-                            }
-                            stats.broadcast_bytes += bytes;
-                            stats.broadcast_msgs += bcast_stage[sender].len() as u64;
-                        }
-                    }
-                    m_.put_stage(bcast_stage);
-                }
                 WireState::Delta(d) => {
                     for sender in 0..n_hosts {
                         if !live.is_alive(sender) {
@@ -633,43 +541,6 @@ pub fn sync_round_degraded(
             SyncPlan::RepModelNaive => {
                 // Dense broadcast: every master row to every other host.
                 match wire {
-                    WireState::Memo(m_) => {
-                        // Memo mode: same dense id-list derivation as the
-                        // dense reduce above (the threaded engine ships one
-                        // dense payload per master per layer).
-                        let mut stage = m_.take_stage(n_hosts);
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for owner in 0..n_hosts {
-                                if live.effective_master(owner) == m {
-                                    for node in master_block(n_nodes, n_hosts, owner) {
-                                        stage[m].push(node);
-                                    }
-                                }
-                            }
-                        }
-                        for m in 0..n_hosts {
-                            if !live.is_alive(m) {
-                                continue;
-                            }
-                            for h in 0..n_hosts {
-                                if h == m || !live.is_alive(h) {
-                                    continue;
-                                }
-                                let hit = m_.submit(m, h, layer, Channel::Broadcast, &stage[m]);
-                                let per = if hit { vbytes } else { ebytes };
-                                let bytes = stage[m].len() as u64 * per;
-                                if bytes > 0 {
-                                    volume.record(m, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage[m].len() as u64;
-                            }
-                        }
-                        m_.put_stage(stage);
-                    }
                     WireState::Delta(d) => {
                         // Same dense id-list derivation as the dense
                         // reduce; values are the masters' post-apply rows,
@@ -786,14 +657,10 @@ pub fn sync_round_degraded(
                     if !live.is_alive(h) {
                         continue;
                     }
-                    // Memo/delta modes stage the per-owner request list
-                    // (the exact response payload order: the owner
-                    // answers in request order, which is the access
-                    // set's node-id order).
-                    let mut stage = match wire {
-                        WireState::Memo(m) => m.take_stage(n_hosts),
-                        _ => Vec::new(),
-                    };
+                    // Delta mode stages the per-owner request list (the
+                    // exact response payload order: the owner answers in
+                    // request order, which is the access set's node-id
+                    // order).
                     let (mut stage_ids, mut stage_vals) = match wire {
                         WireState::Delta(d) => d.take_stage(n_hosts),
                         _ => (Vec::new(), Vec::new()),
@@ -812,7 +679,6 @@ pub fn sync_round_degraded(
                                 stats.broadcast_bytes += ebytes;
                                 stats.broadcast_msgs += 1;
                             }
-                            WireState::Memo(_) => stage[owner].push(node_u),
                             WireState::Delta(_) => {
                                 stage_ids[owner].push(node_u);
                                 stage_vals[owner].extend_from_slice(canonical);
@@ -830,23 +696,6 @@ pub fn sync_round_degraded(
                             .copy_from_slice(canonical);
                     }
                     match wire {
-                        WireState::Memo(m_) => {
-                            for owner in 0..n_hosts {
-                                if owner == h || !live.is_alive(owner) {
-                                    continue;
-                                }
-                                let hit =
-                                    m_.submit(owner, h, layer, Channel::Broadcast, &stage[owner]);
-                                let per = if hit { vbytes } else { ebytes };
-                                let bytes = stage[owner].len() as u64 * per;
-                                if bytes > 0 {
-                                    volume.record(owner, h, bytes);
-                                }
-                                stats.broadcast_bytes += bytes;
-                                stats.broadcast_msgs += stage[owner].len() as u64;
-                            }
-                            m_.put_stage(stage);
-                        }
                         WireState::Delta(d) => {
                             for owner in 0..n_hosts {
                                 if owner == h || !live.is_alive(owner) {

@@ -73,7 +73,7 @@ use crate::sync::NodeAccSlab;
 use crate::volume::CommStats;
 use crate::wire::{
     entry_bytes, open_frame, quant_entry_bytes, seal_frame, Channel, DeltaForm, QuantDecoder,
-    RowDecoder, RowEncoder, ValueDecoder, WireState,
+    RowDecoder, RowEncoder, WireError, WireState,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -88,7 +88,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Verified payloads collected for one sync phase, keyed by
-/// `(sender host, layer)`; the `bool` is the sender's `value_only` tag.
+/// `(sender host, layer)`; the `bool` is the sender's `compact` tag.
 type PhasePayloads = HashMap<(usize, usize), (Bytes, bool)>;
 
 /// A cluster-fabric failure surfaced to the caller instead of a panic.
@@ -117,6 +117,19 @@ pub enum ClusterError {
         /// Model layer of the missing payload.
         layer: usize,
     },
+    /// `host` received a CRC-valid payload from `peer` that does not
+    /// decode: the wrong length for its layout, or a compact form with
+    /// no shadow to expand it against.
+    Decode {
+        /// The receiver that rejected the payload.
+        host: usize,
+        /// The peer that sent it.
+        peer: usize,
+        /// Model layer of the payload.
+        layer: usize,
+        /// Why decoding failed.
+        err: WireError,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -134,6 +147,15 @@ impl fmt::Display for ClusterError {
             ClusterError::RetriesExhausted { host, peer, layer } => write!(
                 f,
                 "host {host}: no payload from host {peer} for layer {layer} after max retries"
+            ),
+            ClusterError::Decode {
+                host,
+                peer,
+                layer,
+                err,
+            } => write!(
+                f,
+                "host {host}: undecodable payload from host {peer} for layer {layer}: {err}"
             ),
         }
     }
@@ -225,18 +247,16 @@ pub struct Message {
     pub seq: u64,
     /// Data or NAK.
     pub kind: MsgKind,
-    /// True when the payload is a compact form only the receiver's wire
-    /// state can expand: a memoized value-only buffer
-    /// ([`crate::wire::WireMode::Memo`] cache hit, decoded against the
-    /// receiver's cached id list) or a delta mask + changed-rows buffer
+    /// True when the payload is the compact form only the receiver's
+    /// wire state can expand: a delta mask + changed-rows buffer
     /// ([`crate::wire::WireMode::Delta`], replayed against the
     /// receiver's shadow copy). Metadata, not payload: it rides outside
     /// the CRC-sealed frame (like `from`/`layer`/`seq`) so byte
     /// accounting stays exact and the fault injector's bit flips cannot
     /// silently change a payload's layout.
-    pub value_only: bool,
+    pub compact: bool,
     /// Sealed frame for data (`(node, row)` entries, or a compact form
-    /// when `value_only`); empty for NAKs.
+    /// when `compact`); empty for NAKs.
     pub payload: Bytes,
 }
 
@@ -345,7 +365,7 @@ impl ClusterState {
 #[derive(Debug)]
 struct ResendSlot {
     payload: Bytes,
-    value_only: bool,
+    compact: bool,
     attempts: u32,
 }
 
@@ -410,6 +430,18 @@ fn empty_bytes() -> Bytes {
 }
 
 impl HostCtx {
+    /// Maps a failure to decode `peer`'s payload for `layer` to a typed
+    /// [`ClusterError::Decode`].
+    fn decode_err(&self, peer: usize, layer: usize) -> impl Fn(WireError) -> ClusterError {
+        let host = self.host;
+        move |err| ClusterError::Decode {
+            host,
+            peer,
+            layer,
+            err,
+        }
+    }
+
     /// The fault plan this cluster runs under.
     pub fn plan(&self) -> &FaultPlan {
         &self.state.plan
@@ -476,20 +508,20 @@ impl HostCtx {
     }
 
     /// Buffers `payload` for NAK service, then delivers it (attempt 0)
-    /// through the fault injector. `value_only` tags memoized payloads
-    /// ([`crate::wire::WireMode::Memo`] cache hits).
+    /// through the fault injector. `compact` tags delta payloads
+    /// ([`crate::wire::WireMode::Delta`] shadow hits).
     fn ship(
         &self,
         to: usize,
         layer: usize,
         payload: Bytes,
-        value_only: bool,
+        compact: bool,
     ) -> Result<(), ClusterError> {
         self.resend.borrow_mut().insert(
             (to, layer),
             ResendSlot {
                 payload: payload.clone(),
-                value_only,
+                compact,
                 attempts: 0,
             },
         );
@@ -504,10 +536,10 @@ impl HostCtx {
             counters::bump(counters::INJECTED_REORDER);
             self.deferred
                 .borrow_mut()
-                .push((to, layer, payload, value_only));
+                .push((to, layer, payload, compact));
             return Ok(());
         }
-        self.send_data(to, layer, &payload, value_only, 0)
+        self.send_data(to, layer, &payload, compact, 0)
     }
 
     /// One delivery attempt: the injector may withhold the frame or flip
@@ -517,7 +549,7 @@ impl HostCtx {
         to: usize,
         layer: usize,
         payload: &Bytes,
-        value_only: bool,
+        compact: bool,
         attempt: u32,
     ) -> Result<(), ClusterError> {
         let seq = self.seq.get();
@@ -552,7 +584,7 @@ impl HostCtx {
             layer,
             seq,
             kind: MsgKind::Data { attempt },
-            value_only,
+            compact,
             payload: frame,
         };
         // Dup injection: a *clean* delivery goes on the wire twice; the
@@ -573,7 +605,7 @@ impl HostCtx {
                 layer,
                 seq: self.seq.get(),
                 kind: MsgKind::Nak,
-                value_only: false,
+                compact: false,
                 payload: empty_bytes(),
             },
         )
@@ -586,19 +618,19 @@ impl HostCtx {
         if seq != self.seq.get() {
             return Ok(());
         }
-        let (payload, value_only, attempt) = {
+        let (payload, compact, attempt) = {
             let mut resend = self.resend.borrow_mut();
             match resend.get_mut(&(to, layer)) {
                 Some(slot) => {
                     slot.attempts += 1;
-                    (slot.payload.clone(), slot.value_only, slot.attempts)
+                    (slot.payload.clone(), slot.compact, slot.attempts)
                 }
                 // NAK for a slot we never shipped this phase; nothing to do.
                 None => return Ok(()),
             }
         };
         counters::bump(counters::RECOVERED_RESEND);
-        self.send_data(to, layer, &payload, value_only, attempt)
+        self.send_data(to, layer, &payload, compact, attempt)
     }
 
     /// Drains whatever is queued without blocking: serves NAKs, stashes
@@ -625,7 +657,7 @@ impl HostCtx {
     /// Receives one payload per `(alive peer, layer)` slot for the
     /// current phase, NAKing corrupt or missing deliveries until the set
     /// completes or retries exhaust. Each entry carries the sender's
-    /// `value_only` tag alongside the verified payload.
+    /// `compact` tag alongside the verified payload.
     fn collect_phase(
         &self,
         live: &Liveness,
@@ -641,8 +673,8 @@ impl HostCtx {
         // receiver — are unaffected.
         let deferred: Vec<(usize, usize, Bytes, bool)> =
             self.deferred.borrow_mut().drain(..).collect();
-        for (to, layer, payload, value_only) in deferred {
-            self.send_data(to, layer, &payload, value_only, 0)?;
+        for (to, layer, payload, compact) in deferred {
+            self.send_data(to, layer, &payload, compact, 0)?;
         }
         let expected: Vec<(usize, usize)> = (0..self.n_hosts)
             .filter(|&h| h != self.host && live.is_alive(h))
@@ -672,7 +704,7 @@ impl HostCtx {
                     }
                     match open_frame(&msg.payload) {
                         Ok(payload) => {
-                            got.insert(key, (payload, msg.value_only));
+                            got.insert(key, (payload, msg.compact));
                             Ok(true)
                         }
                         Err(_) => {
@@ -827,7 +859,7 @@ impl HostCtx {
                 layer: tag,
                 seq: STATE_TRANSFER_SEQ,
                 kind: MsgKind::Data { attempt: 0 },
-                value_only: false,
+                compact: false,
                 payload: seal_frame(&payload),
             },
         )?;
@@ -914,7 +946,9 @@ impl HostCtx {
             debug_assert_eq!(tag, layer, "layer frames follow in order");
             let mut matrix = FlatMatrix::zeros(rows, dim);
             let mut sink = |node: u32| -> *mut [f32] { matrix.row_mut(node as usize) };
-            RowDecoder::new(payload, dim).decode_into(&mut sink);
+            RowDecoder::new(payload, dim)
+                .map_err(self.decode_err(from, layer))?
+                .decode_into(&mut sink);
             layers.push(matrix);
         }
         self.register_alive();
@@ -1072,19 +1106,22 @@ pub fn sync_round_threaded_with_scratch(
 ///
 /// `wire` selects the payload mode ([`crate::wire::WireMode`]) and
 /// holds this host's per-mode state: [`WireState::Classic`] ships
-/// id+value rows; [`WireState::Memo`] memoizes id lists and ships
-/// value-only payloads on repeats; [`WireState::Delta`] shadows the
+/// id+value rows; [`WireState::Delta`] shadows the
 /// last payload per (host pair, layer, channel) and ships a change mask
 /// plus only the rows whose bits differ; [`WireState::Quant`] ships
 /// rows quantized to one byte per dimension with per-row scale/offset.
-/// Every host must run the same mode; caches and shadows must be
-/// cleared at epoch starts by the caller ([`WireState::begin_epoch`]) —
-/// liveness changes clear them here. Memo and delta are lossless (model
+/// Every host must run the same mode; shadows must be cleared at epoch
+/// starts by the caller ([`WireState::begin_epoch`]) — liveness changes
+/// clear them here. Delta is lossless (model
 /// results bit-identical to classic; only bytes moved change, mirroring
 /// [`crate::sync::sync_round_degraded`]'s analytic accounting exactly);
 /// quant is deterministically lossy — the sequential engine replays the
 /// identical quantize→dequantize image, so the two engines stay
 /// bit-identical to *each other*.
+///
+/// A CRC-valid payload that does not decode (wrong length for its
+/// layout, or flagged compact with no shadow to expand it against)
+/// ends the round with [`ClusterError::Decode`] instead of a panic.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_round_threaded_degraded(
     ctx: &HostCtx,
@@ -1101,10 +1138,9 @@ pub fn sync_round_threaded_degraded(
         "PullModel requires inspection-derived access sets"
     );
     assert!(live.is_alive(ctx.host), "dead hosts do not sync");
-    // Any liveness change invalidates every cached id list and shadow
-    // payload; all hosts derive the same view from the shared fault
-    // plan, so every cache in the cluster (and the simulator's) clears
-    // on the same round.
+    // Any liveness change invalidates every shadow payload; all hosts
+    // derive the same view from the shared fault plan, so every shadow
+    // in the cluster (and the simulator's) clears on the same round.
     wire.observe_liveness(live);
     // Inert when metrics are disabled; otherwise times this host's whole
     // round and records its send-side byte deltas below.
@@ -1154,44 +1190,11 @@ pub fn sync_round_threaded_degraded(
         }
         if cfg.plan == SyncPlan::RepModelNaive {
             match &mut *wire {
-                WireState::Memo(m_) => {
-                    // Memo-mode dense accounting: the *analytic* dense id
-                    // list per destination master (same derivation as the
-                    // sequential engine) is memoized; physical payloads stay
-                    // touched-only id+value below (their bytes are NOT
-                    // separately accounted — the dense figure covers them).
-                    let mut stage = m_.take_stage(n_hosts);
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        for owner in 0..n_hosts {
-                            if live.effective_master(owner) == m {
-                                for node in master_block(n_nodes, n_hosts, owner) {
-                                    stage[m].push(node);
-                                }
-                            }
-                        }
-                    }
-                    for m in 0..n_hosts {
-                        if m == ctx.host || !live.is_alive(m) {
-                            continue;
-                        }
-                        let hit = m_.submit(ctx.host, m, layer, Channel::Reduce, &stage[m]);
-                        let per = if hit {
-                            crate::wire::value_bytes(dim)
-                        } else {
-                            entry_bytes(dim)
-                        } as u64;
-                        stats.reduce_bytes += stage[m].len() as u64 * per;
-                        stats.reduce_msgs += stage[m].len() as u64;
-                    }
-                    m_.put_stage(stage);
-                }
                 WireState::Delta(d) => {
-                    // Delta-mode dense accounting: same dense id list per
-                    // destination as memo, with this host's touched deltas
-                    // scattered by block position into a zero value image
+                    // Delta-mode dense accounting: the sequential engine's
+                    // dense id list per destination, with this host's
+                    // touched deltas scattered by block position into a
+                    // zero value image
                     // (untouched rows are zero deltas, unchanged round over
                     // round — exactly what the changed-row mask skips).
                     // Physical payloads stay touched-only id+value below;
@@ -1268,7 +1271,7 @@ pub fn sync_round_threaded_degraded(
                     // Quantized dense accounting: every dense row ships at
                     // the quantized width; physical payloads below are the
                     // touched rows in quantized form (the dense figure
-                    // covers their bytes, like memo's).
+                    // covers their bytes, like delta's).
                     for m in 0..n_hosts {
                         if m == ctx.host || !live.is_alive(m) {
                             continue;
@@ -1300,7 +1303,7 @@ pub fn sync_round_threaded_degraded(
                         stats.reduce_msgs += enc.count() as u64;
                         ctx.ship(peer, layer, enc.finish(), false)?;
                     }
-                    WireState::Memo(_) | WireState::Delta(_) => {
+                    WireState::Delta(_) => {
                         ctx.ship(peer, layer, enc.finish(), false)?;
                     }
                     WireState::Quant(_) => {
@@ -1313,16 +1316,6 @@ pub fn sync_round_threaded_degraded(
                     WireState::Classic => {
                         stats.reduce_bytes += enc.byte_len() as u64;
                         ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Reduce, enc.ids());
-                        if hit {
-                            stats.reduce_bytes += enc.value_byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish_values(), true)?;
-                        } else {
-                            stats.reduce_bytes += enc.byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish(), false)?;
-                        }
                     }
                     WireState::Delta(d) => {
                         let form = d.submit(
@@ -1378,77 +1371,49 @@ pub fn sync_round_threaded_degraded(
                     slab.acc_mut(node, cfg.combiner, dim).push(delta);
                     updated_per_layer[layer].set(node as usize);
                 }
-            } else if let Some((payload, value_only)) = incoming.get(&(h, layer)) {
-                if *value_only {
-                    match &mut *wire {
-                        WireState::Memo(m_) => {
-                            let ids = m_
-                                .cached(h, ctx.host, layer, Channel::Reduce)
-                                .expect("value-only payload with no cached id list");
-                            let mut dec = ValueDecoder::new(payload.clone(), dim, ids)
-                                .expect("value-only payload length matches cached id list");
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
+            } else if let Some((payload, compact)) = incoming.get(&(h, layer)) {
+                let bad = ctx.decode_err(h, layer);
+                match &mut *wire {
+                    WireState::Delta(d) if *compact => {
+                        let (ids, vals) = d
+                            .apply_delta(h, ctx.host, layer, Channel::Reduce, payload, dim)
+                            .map_err(&bad)?;
+                        for (i, &node) in ids.iter().enumerate() {
+                            slab.acc_mut(node, cfg.combiner, dim)
+                                .push(&vals[i * dim..(i + 1) * dim]);
+                            updated_per_layer[layer].set(node as usize);
                         }
-                        WireState::Delta(d) => {
-                            let (ids, vals) = d
-                                .apply_delta(h, ctx.host, layer, Channel::Reduce, payload, dim)
-                                .expect("delta payload length matches shadow entry");
-                            for (i, &node) in ids.iter().enumerate() {
-                                slab.acc_mut(node, cfg.combiner, dim)
-                                    .push(&vals[i * dim..(i + 1) * dim]);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                        _ => panic!("compact payload outside memo/delta mode"),
                     }
-                } else {
-                    match &mut *wire {
-                        WireState::Memo(m_) => {
-                            // Record the decoded id list so a later
-                            // value-only payload on this key can be resolved.
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            let mut ids = Vec::with_capacity(dec.remaining());
-                            while let Some((node, row)) = dec.next_entry() {
-                                ids.push(node);
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                            m_.store(h, ctx.host, layer, Channel::Reduce, ids);
+                    _ if *compact => return Err(bad(WireError::NoShadow)),
+                    WireState::Delta(d) if cfg.plan != SyncPlan::RepModelNaive => {
+                        // Record ids *and* rows so a later delta payload
+                        // on this key can be reconstructed. (The dense
+                        // plan's physical reduce payloads stay classic —
+                        // its shadows track the analytic dense image on
+                        // the sender side only.)
+                        let mut dec = RowDecoder::new(payload.clone(), dim).map_err(&bad)?;
+                        let mut ids = Vec::with_capacity(dec.remaining());
+                        let mut vals = Vec::with_capacity(dec.remaining() * dim);
+                        while let Some((node, row)) = dec.next_entry() {
+                            ids.push(node);
+                            vals.extend_from_slice(row);
+                            slab.acc_mut(node, cfg.combiner, dim).push(row);
+                            updated_per_layer[layer].set(node as usize);
                         }
-                        WireState::Delta(d) if cfg.plan != SyncPlan::RepModelNaive => {
-                            // Record ids *and* rows so a later delta payload
-                            // on this key can be reconstructed. (The dense
-                            // plan's physical reduce payloads stay classic —
-                            // its shadows track the analytic dense image on
-                            // the sender side only.)
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            let mut ids = Vec::with_capacity(dec.remaining());
-                            let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                            while let Some((node, row)) = dec.next_entry() {
-                                ids.push(node);
-                                vals.extend_from_slice(row);
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                            d.store(h, ctx.host, layer, Channel::Reduce, ids, vals);
+                        d.store(h, ctx.host, layer, Channel::Reduce, ids, vals);
+                    }
+                    WireState::Quant(_) => {
+                        let mut dec = QuantDecoder::new(payload.clone(), dim).map_err(&bad)?;
+                        while let Some((node, row)) = dec.next_entry() {
+                            slab.acc_mut(node, cfg.combiner, dim).push(row);
+                            updated_per_layer[layer].set(node as usize);
                         }
-                        WireState::Quant(_) => {
-                            let mut dec = QuantDecoder::new(payload.clone(), dim)
-                                .expect("well-formed quantized payload");
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
-                        }
-                        _ => {
-                            let mut dec = RowDecoder::new(payload.clone(), dim);
-                            while let Some((node, row)) = dec.next_entry() {
-                                slab.acc_mut(node, cfg.combiner, dim).push(row);
-                                updated_per_layer[layer].set(node as usize);
-                            }
+                    }
+                    _ => {
+                        let mut dec = RowDecoder::new(payload.clone(), dim).map_err(&bad)?;
+                        while let Some((node, row)) = dec.next_entry() {
+                            slab.acc_mut(node, cfg.combiner, dim).push(row);
+                            updated_per_layer[layer].set(node as usize);
                         }
                     }
                 }
@@ -1497,20 +1462,6 @@ pub fn sync_round_threaded_degraded(
                     continue;
                 }
                 let enc = encoders.remove(&peer).unwrap_or_else(|| RowEncoder::new(0));
-                if let WireState::Memo(m_) = &mut *wire {
-                    // The response from `peer` will carry exactly this
-                    // list in this order; cache it now so a value-only
-                    // response resolves without a round trip. (Delta mode
-                    // cannot pre-store: its shadow needs row values, which
-                    // only the first full response carries.)
-                    m_.store(
-                        peer,
-                        ctx.host,
-                        layer,
-                        Channel::Broadcast,
-                        enc.ids().to_vec(),
-                    );
-                }
                 ctx.ship(peer, layer, enc.finish(), false)?;
             }
         }
@@ -1530,7 +1481,8 @@ pub fn sync_round_threaded_degraded(
                 }
                 let mut enc = RowEncoder::new(dim);
                 if let Some((list, _)) = requests.get(&(peer, layer)) {
-                    let mut dec = RowDecoder::new(list.clone(), 0);
+                    let mut dec =
+                        RowDecoder::new(list.clone(), 0).map_err(ctx.decode_err(peer, layer))?;
                     while let Some((node, _)) = dec.next_entry() {
                         enc.push(node, replica.row(layer, node));
                     }
@@ -1543,16 +1495,6 @@ pub fn sync_round_threaded_degraded(
                     WireState::Classic => {
                         stats.broadcast_bytes += enc.byte_len() as u64;
                         ctx.ship(peer, layer, enc.finish(), false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Broadcast, enc.ids());
-                        if hit {
-                            stats.broadcast_bytes += enc.value_byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish_values(), true)?;
-                        } else {
-                            stats.broadcast_bytes += enc.byte_len() as u64;
-                            ctx.ship(peer, layer, enc.finish(), false)?;
-                        }
                     }
                     WireState::Delta(d) => {
                         let form = d.submit(
@@ -1585,59 +1527,8 @@ pub fn sync_round_threaded_degraded(
             }
         }
         let incoming = ctx.collect_phase(live, n_layers)?;
-        for ((h, layer), (payload, value_only)) in incoming {
-            let dim = replica.layers[layer].dim();
-            if value_only {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let ids = m_
-                            .cached(h, ctx.host, layer, Channel::Broadcast)
-                            .expect("value-only response with no cached request list");
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        ValueDecoder::new(payload, dim, ids)
-                            .expect("value-only response length matches request list")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Delta(d) => {
-                        let (ids, vals) = d
-                            .apply_delta(h, ctx.host, layer, Channel::Broadcast, &payload, dim)
-                            .expect("delta response length matches shadow entry");
-                        for (i, &node) in ids.iter().enumerate() {
-                            replica
-                                .row_mut_untracked(layer, node)
-                                .copy_from_slice(&vals[i * dim..(i + 1) * dim]);
-                        }
-                    }
-                    _ => panic!("compact payload outside memo/delta mode"),
-                }
-            } else {
-                match &mut *wire {
-                    WireState::Delta(d) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            vals.extend_from_slice(row);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        d.store(h, ctx.host, layer, Channel::Broadcast, ids, vals);
-                    }
-                    WireState::Quant(_) => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        QuantDecoder::new(payload, dim)
-                            .expect("well-formed quantized payload")
-                            .decode_into(&mut sink);
-                    }
-                    _ => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        RowDecoder::new(payload, dim).decode_into(&mut sink);
-                    }
-                }
-            }
+        for ((h, layer), (payload, compact)) in incoming {
+            apply_broadcast(ctx, replica, wire, h, layer, payload, compact)?;
         }
     } else {
         // ---- Phase 2: broadcast canonical values of updated owned rows. ----
@@ -1664,15 +1555,10 @@ pub fn sync_round_threaded_degraded(
                 SyncPlan::PullModel => unreachable!("handled above"),
             }
             // One shared payload per layer wherever the form allows it
-            // (classic id+value, memo value-only, quantized); delta masks
-            // are built per peer — shadows advance in lockstep across
-            // peers, so the masks coincide in practice, but each pair
-            // owns its shadow. In memo mode each peer may instead take
-            // the (also shared) value-only form, decided per peer — all
-            // peers see the same id list, so after the first miss-round
-            // they all hit together.
+            // (classic id+value, quantized); delta masks are built per
+            // peer — shadows advance in lockstep across peers, so the
+            // masks coincide in practice, but each pair owns its shadow.
             let mut full: Option<Bytes> = None;
-            let mut vo: Option<Bytes> = None;
             let mut quant: Option<Bytes> = None;
             for peer in 0..n_hosts {
                 if peer == ctx.host || !live.is_alive(peer) {
@@ -1684,20 +1570,6 @@ pub fn sync_round_threaded_degraded(
                         stats.broadcast_bytes += payload.len() as u64;
                         stats.broadcast_msgs += (payload.len() / entry_bytes(dim)) as u64;
                         ctx.ship(peer, layer, payload, false)?;
-                    }
-                    WireState::Memo(m_) => {
-                        let hit = m_.submit(ctx.host, peer, layer, Channel::Broadcast, enc.ids());
-                        if hit {
-                            let payload = vo.get_or_insert_with(|| enc.finish_values()).clone();
-                            stats.broadcast_bytes += payload.len() as u64;
-                            stats.broadcast_msgs += enc.count() as u64;
-                            ctx.ship(peer, layer, payload, true)?;
-                        } else {
-                            let payload = full.get_or_insert_with(|| enc.finish()).clone();
-                            stats.broadcast_bytes += payload.len() as u64;
-                            stats.broadcast_msgs += (payload.len() / entry_bytes(dim)) as u64;
-                            ctx.ship(peer, layer, payload, false)?;
-                        }
                     }
                     WireState::Delta(d) => {
                         let form = d.submit(
@@ -1733,68 +1605,8 @@ pub fn sync_round_threaded_degraded(
             }
         }
         let incoming = ctx.collect_phase(live, n_layers)?;
-        for ((h, layer), (payload, value_only)) in incoming {
-            let dim = replica.layers[layer].dim();
-            if value_only {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let ids = m_
-                            .cached(h, ctx.host, layer, Channel::Broadcast)
-                            .expect("value-only broadcast with no cached id list");
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        ValueDecoder::new(payload, dim, ids)
-                            .expect("value-only broadcast length matches cached id list")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Delta(d) => {
-                        let (ids, vals) = d
-                            .apply_delta(h, ctx.host, layer, Channel::Broadcast, &payload, dim)
-                            .expect("delta broadcast length matches shadow entry");
-                        for (i, &node) in ids.iter().enumerate() {
-                            replica
-                                .row_mut_untracked(layer, node)
-                                .copy_from_slice(&vals[i * dim..(i + 1) * dim]);
-                        }
-                    }
-                    _ => panic!("compact payload outside memo/delta mode"),
-                }
-            } else {
-                match &mut *wire {
-                    WireState::Memo(m_) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        m_.store(h, ctx.host, layer, Channel::Broadcast, ids);
-                    }
-                    WireState::Delta(d) => {
-                        let mut dec = RowDecoder::new(payload, dim);
-                        let mut ids = Vec::with_capacity(dec.remaining());
-                        let mut vals = Vec::with_capacity(dec.remaining() * dim);
-                        while let Some((node, row)) = dec.next_entry() {
-                            ids.push(node);
-                            vals.extend_from_slice(row);
-                            replica.row_mut_untracked(layer, node).copy_from_slice(row);
-                        }
-                        d.store(h, ctx.host, layer, Channel::Broadcast, ids, vals);
-                    }
-                    WireState::Quant(_) => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        QuantDecoder::new(payload, dim)
-                            .expect("well-formed quantized payload")
-                            .decode_into(&mut sink);
-                    }
-                    WireState::Classic => {
-                        let mut sink =
-                            |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
-                        RowDecoder::new(payload, dim).decode_into(&mut sink);
-                    }
-                }
-            }
+        for ((h, layer), (payload, compact)) in incoming {
+            apply_broadcast(ctx, replica, wire, h, layer, payload, compact)?;
         }
     }
     replica.clear_tracking();
@@ -1815,6 +1627,60 @@ pub fn sync_round_threaded_degraded(
         obs_span.field("broadcast_bytes", bcast_b as f64);
     }
     drop(obs_span);
+    Ok(())
+}
+
+/// Writes one broadcast-channel payload (an Opt/Naive broadcast or a
+/// PullModel response) from `h` into this host's mirror rows of
+/// `layer`, decoding it in the run's wire mode; delta mode also
+/// advances the `(h → self)` shadow.
+fn apply_broadcast(
+    ctx: &HostCtx,
+    replica: &mut ModelReplica,
+    wire: &mut WireState,
+    h: usize,
+    layer: usize,
+    payload: Bytes,
+    compact: bool,
+) -> Result<(), ClusterError> {
+    let dim = replica.layers[layer].dim();
+    let bad = ctx.decode_err(h, layer);
+    match wire {
+        WireState::Delta(d) if compact => {
+            let (ids, vals) = d
+                .apply_delta(h, ctx.host, layer, Channel::Broadcast, &payload, dim)
+                .map_err(bad)?;
+            for (i, &node) in ids.iter().enumerate() {
+                replica
+                    .row_mut_untracked(layer, node)
+                    .copy_from_slice(&vals[i * dim..(i + 1) * dim]);
+            }
+        }
+        _ if compact => return Err(bad(WireError::NoShadow)),
+        WireState::Delta(d) => {
+            let mut dec = RowDecoder::new(payload, dim).map_err(bad)?;
+            let mut ids = Vec::with_capacity(dec.remaining());
+            let mut vals = Vec::with_capacity(dec.remaining() * dim);
+            while let Some((node, row)) = dec.next_entry() {
+                ids.push(node);
+                vals.extend_from_slice(row);
+                replica.row_mut_untracked(layer, node).copy_from_slice(row);
+            }
+            d.store(h, ctx.host, layer, Channel::Broadcast, ids, vals);
+        }
+        WireState::Quant(_) => {
+            let mut sink = |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
+            QuantDecoder::new(payload, dim)
+                .map_err(bad)?
+                .decode_into(&mut sink);
+        }
+        WireState::Classic => {
+            let mut sink = |node: u32| -> *mut [f32] { replica.row_mut_untracked(layer, node) };
+            RowDecoder::new(payload, dim)
+                .map_err(bad)?
+                .decode_into(&mut sink);
+        }
+    }
     Ok(())
 }
 
@@ -2326,8 +2192,12 @@ mod tests {
         for plan in [SyncPlan::RepModelNaive, SyncPlan::RepModelOpt] {
             let (classic_model, classic_stats) =
                 run_sequential_wire(3, 12, 4, 3, plan, WireMode::IdValue);
-            let (delta_model, delta_stats) = run_sequential_wire(3, 12, 4, 3, plan, WireMode::Delta);
-            assert_eq!(classic_model, delta_model, "{plan:?} delta must be lossless");
+            let (delta_model, delta_stats) =
+                run_sequential_wire(3, 12, 4, 3, plan, WireMode::Delta);
+            assert_eq!(
+                classic_model, delta_model,
+                "{plan:?} delta must be lossless"
+            );
             assert!(
                 delta_stats.total_bytes() <= classic_stats.total_bytes(),
                 "{plan:?} delta must not cost more than classic"
@@ -2438,5 +2308,75 @@ mod tests {
             let mut stats = CommStats::default();
             let _ = sync_round_threaded(&ctx, &mut replica, &cfg, &mut stats);
         });
+    }
+
+    #[test]
+    fn undecodable_peer_payload_is_a_typed_error_not_a_panic() {
+        use crate::wire::WireMode;
+        // A peer ships CRC-valid frames the receiver cannot decode: the
+        // round must end with ClusterError::Decode, never a panic (the
+        // join in run_cluster_with would surface one).
+        let cfg = SyncConfig {
+            plan: SyncPlan::RepModelOpt,
+            combiner: CombinerKind::ModelCombiner,
+        };
+        let dim = 3;
+        let cases = [
+            // Not a whole number of id+value entries.
+            (WireMode::Delta, Bytes::from(vec![0u8; 5]), false, 5),
+            // Flagged compact, but no shadow entry exists for the key.
+            (WireMode::Delta, Bytes::from(vec![0u8]), true, 0),
+            // Flagged compact in a mode that keeps no shadows at all.
+            (WireMode::IdValue, Bytes::from(vec![0u8]), true, 0),
+        ];
+        for (mode, bad, compact, bad_len) in cases {
+            let results = run_cluster_with(
+                2,
+                FaultPlan::none(),
+                ClusterConfig::default(),
+                |ctx| -> Result<(), ClusterError> {
+                    let live = Liveness::all(2);
+                    if ctx.host == 1 {
+                        // The rogue peer: one reduce-phase payload per
+                        // layer, then collect so host 0's sends land.
+                        ctx.begin_phase();
+                        ctx.ship(0, 0, bad.clone(), compact)?;
+                        ctx.ship(0, 1, RowEncoder::new(dim).finish(), false)?;
+                        return ctx.collect_phase(&live, 2).map(|_| ());
+                    }
+                    let mut replica = fresh_replica(8, dim, 7);
+                    replica.row_mut(0, 7)[0] += 1.0;
+                    sync_round_threaded_degraded(
+                        &ctx,
+                        &mut replica,
+                        &cfg,
+                        None,
+                        &mut CommStats::default(),
+                        &mut ThreadedSyncScratch::new(),
+                        &live,
+                        &mut WireState::for_mode(mode),
+                    )
+                },
+            );
+            assert_eq!(results[1], Ok(()));
+            let want = if compact {
+                WireError::NoShadow
+            } else {
+                WireError::BadLength {
+                    claimed: 0,
+                    actual: bad_len,
+                }
+            };
+            assert_eq!(
+                results[0],
+                Err(ClusterError::Decode {
+                    host: 0,
+                    peer: 1,
+                    layer: 0,
+                    err: want,
+                }),
+                "{mode:?} compact={compact}"
+            );
+        }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! # Payload modes
 //!
-//! Four payload layouts exist, selected per run by [`WireMode`] (the
+//! Three payload layouts exist, selected per run by [`WireMode`] (the
 //! full byte-layout reference lives in `docs/WIRE.md`):
 //!
 //! * **Id+value** ([`WireMode::IdValue`], the default) — every entry
@@ -16,27 +16,20 @@
 //!   Self-describing: the receiver learns *which* rows it got from the
 //!   payload itself. Encoded by [`RowEncoder::finish`], decoded by
 //!   [`RowDecoder`].
-//! * **Memoized value-only** ([`WireMode::Memo`]) — the Gluon
-//!   memoization optimization: node-id lists for a given
-//!   (sender, receiver, layer, channel) key are invariant whenever the
-//!   same rows are exchanged again, so after the first exchange both
-//!   ends cache the id list ([`WireMemo`]) and later rounds ship bare
-//!   `dim` `f32`s per entry ([`value_bytes`] bytes, a
-//!   `4 / (4 + 4·dim)`-fraction saving). Encoded by
-//!   [`RowEncoder::finish_values`], decoded by [`ValueDecoder`] against
-//!   the cached id list. The sender decides per payload: a cache *hit*
-//!   (list unchanged since last send) ships value-only; a *miss* ships
-//!   id+value and both ends update their cache. Caches clear at every
-//!   epoch start and on any liveness change (crash, adoption, rejoin),
-//!   so fault recovery never decodes against a stale list.
-//! * **Delta** ([`WireMode::Delta`]) — row-change shipping: both ends
-//!   keep a shadow of the last exchanged payload per key
-//!   ([`DeltaShadow`], ids *and* values, invalidated exactly like the
-//!   memo). When the id list repeats, the sender ships only a changed-
-//!   row bitmask plus the rows whose bits actually changed
-//!   ([`delta_bytes`]); the receiver reconstructs the untouched rows
-//!   bit-exactly from its shadow. Lossless — like memo, delta changes
-//!   bytes moved, never training results.
+//! * **Delta** ([`WireMode::Delta`]) — row-change shipping: node-id
+//!   lists for a given (sender, receiver, layer, channel) key repeat
+//!   whenever the same rows are exchanged again, so both ends keep a
+//!   shadow of the last exchanged payload per key ([`DeltaShadow`], ids
+//!   *and* values). When the id list repeats, the sender ships only a
+//!   changed-row bitmask plus the rows whose bits actually changed
+//!   ([`delta_bytes`], encoded by [`RowEncoder::finish_delta`]); the
+//!   receiver reconstructs the untouched rows bit-exactly from its
+//!   shadow ([`DeltaShadow::apply_delta`]). A *miss* (first exchange, or
+//!   a changed list) ships id+value and both ends replace their shadow.
+//!   Shadows clear at every epoch start and on any liveness change
+//!   (crash, adoption, rejoin), so fault recovery never decodes against
+//!   a stale shadow. Lossless — delta changes bytes moved, never
+//!   training results.
 //! * **Quantized** ([`WireMode::Quant`]) — each row crosses the wire as
 //!   `dim` `u8` codes plus one `f32` scale/offset pair
 //!   ([`quant_entry_bytes`] = `12 + dim` per entry vs `4 + 4·dim`
@@ -48,10 +41,10 @@
 //!   replays the exact same quantize→dequantize transform on every
 //!   wire-crossing row so both engines still agree bit-for-bit.
 //!
-//! Id+value, memo, and delta carry bit-identical `f32` row values — the
-//! mode changes bytes moved, never training results; quant trades a
-//! bounded accuracy delta for the biggest byte cut. The conformance
-//! suite pins engine parity for all four across every fault family.
+//! Id+value and delta carry bit-identical `f32` row values — the mode
+//! changes bytes moved, never training results; quant trades a bounded
+//! accuracy delta for the biggest byte cut. The conformance suite pins
+//! engine parity for all three across every fault family.
 //!
 //! # Format invariants
 //!
@@ -60,21 +53,22 @@
 //!   `f32`s in the same order — `n` is self-describing
 //!   (`buf.len() / entry_bytes(dim)`), and the total is still
 //!   [`entry_bytes`]`(dim)` per entry, so byte accounting is unchanged
-//!   from the historical interleaved layout. Value-only: `4·dim` bytes
-//!   per entry ([`value_bytes`]), the `f32`s alone in cached-id-list
+//!   from the historical interleaved layout. Delta: the changed-row
+//!   mask, then the changed rows' `f32`s alone in shadowed-id-list
 //!   order. No header, no padding, no alignment requirement. Keeping
 //!   the two regions contiguous is what lets the codec run as two bulk
 //!   copies (one `memcpy`-shaped id pass, one SIMD value pass) instead
 //!   of `n` interleaved gather/scatter steps.
 //! * **Self-describing length** — `buf.len()` must be an exact multiple
-//!   of the entry size; [`RowDecoder`] asserts this and [`ValueDecoder`]
-//!   additionally requires the length to match the cached id list
-//!   exactly, so a truncated, mis-dimensioned, or stale-cache buffer
-//!   fails loudly instead of desynchronizing.
+//!   of the entry size, and a delta payload must carry exactly the rows
+//!   its mask claims; [`RowDecoder`], [`QuantDecoder`] and
+//!   [`DeltaShadow::apply_delta`] return a [`WireError`] otherwise, so a
+//!   truncated, mis-dimensioned, or stale-shadow buffer fails loudly
+//!   instead of desynchronizing (and never panics the receiver).
 //! * **Order-preserving** — entries decode in the order they were
 //!   pushed. Determinism of the sync protocol relies on this: receivers
 //!   fold messages in host-id order and entries in push order, and the
-//!   memoized mode relies on it twice over (the cached id list *is* the
+//!   delta mode relies on it twice over (the shadowed id list *is* the
 //!   push order).
 //! * **Bit-exact round-trip** — `f32` bits pass through unchanged
 //!   (including NaN payloads and negative zero), so a serialize →
@@ -94,9 +88,11 @@
 //! * id+value entries count [`entry_bytes`]`(dim)` each — this is the
 //!   figure the paper reports for RepModelNaive / RepModelOpt /
 //!   PullModel;
-//! * memoized value-only entries count [`value_bytes`]`(dim)` each, so
-//!   the analytic simulator and the byte-measuring threaded engine agree
-//!   to the byte in both modes ("analytic == measured");
+//! * delta payloads count their mask plus [`value_bytes`]`(dim)` per
+//!   changed row ([`delta_bytes`]), and quantized entries
+//!   [`quant_entry_bytes`]`(dim)` each, so the analytic simulator and the
+//!   byte-measuring threaded engine agree to the byte in every mode
+//!   ("analytic == measured");
 //! * sealed-frame armor ([`seal_frame`]'s 12-byte header) and PullModel
 //!   request id-lists are transport/control traffic the paper does not
 //!   count, and neither do we.
@@ -115,9 +111,9 @@ pub const fn entry_bytes(dim: usize) -> usize {
     4 + 4 * dim
 }
 
-/// Serialized bytes for one memoized value-only entry at dimension
-/// `dim` (the row values alone; the node id lives in the receiver's
-/// [`WireMemo`] cache).
+/// Serialized bytes of one row's values alone at dimension `dim` (a
+/// changed row inside a delta payload; the node id lives in the
+/// receiver's [`DeltaShadow`]).
 #[inline]
 pub const fn value_bytes(dim: usize) -> usize {
     4 * dim
@@ -153,9 +149,6 @@ pub enum WireMode {
     /// Self-describing id+value entries every round (the default).
     #[default]
     IdValue,
-    /// Gluon-style id-list memoization: id+value on the first exchange
-    /// (and after any cache invalidation), bare values afterwards.
-    Memo,
     /// Row-change shipping against a per-key shadow: id+value on the
     /// first exchange (and after any invalidation), bitmask + changed
     /// rows afterwards. Lossless.
@@ -166,12 +159,10 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    /// Parses a CLI spelling (`"id-value"` / `"memo"` / `"delta"` /
-    /// `"quant"`).
+    /// Parses a CLI spelling (`"id-value"` / `"delta"` / `"quant"`).
     pub fn parse(s: &str) -> Option<WireMode> {
         match s {
             "id-value" | "idvalue" => Some(WireMode::IdValue),
-            "memo" | "memoized" => Some(WireMode::Memo),
             "delta" => Some(WireMode::Delta),
             "quant" | "quantized" => Some(WireMode::Quant),
             _ => None,
@@ -182,7 +173,6 @@ impl WireMode {
     pub fn label(self) -> &'static str {
         match self {
             WireMode::IdValue => "id-value",
-            WireMode::Memo => "memo",
             WireMode::Delta => "delta",
             WireMode::Quant => "quant",
         }
@@ -191,13 +181,14 @@ impl WireMode {
 
 /// An encoder for a batch of `(node, row)` entries of fixed dimension.
 ///
-/// Ids and values are staged separately so one encoder can serve both
-/// payload layouts: [`finish`](RowEncoder::finish) interleaves them into
-/// an id+value buffer, [`finish_values`](RowEncoder::finish_values)
-/// emits the values alone, and [`ids`](RowEncoder::ids) exposes the id
-/// list for [`WireMemo`] bookkeeping. Both finishers are non-consuming,
-/// so the same staged batch can be shipped in either layout to
-/// different peers.
+/// Ids and values are staged separately so one encoder can serve every
+/// payload layout: [`finish`](RowEncoder::finish) lays them out as an
+/// id+value buffer, [`finish_delta`](RowEncoder::finish_delta) and
+/// [`finish_quant`](RowEncoder::finish_quant) as the compressed forms,
+/// and [`ids`](RowEncoder::ids) / [`values`](RowEncoder::values) expose
+/// the staged batch for [`DeltaShadow`] bookkeeping. Every finisher is
+/// non-consuming, so the same staged batch can be shipped in different
+/// layouts to different peers.
 #[derive(Debug)]
 pub struct RowEncoder {
     dim: usize,
@@ -232,11 +223,6 @@ impl RowEncoder {
         self.ids.len() * entry_bytes(self.dim)
     }
 
-    /// Value-only payload size in bytes ([`value_bytes`] per entry).
-    pub fn value_byte_len(&self) -> usize {
-        self.ids.len() * value_bytes(self.dim)
-    }
-
     /// The node ids pushed so far, in push order.
     pub fn ids(&self) -> &[u32] {
         &self.ids
@@ -255,15 +241,6 @@ impl RowEncoder {
             out[i * 4..i * 4 + 4].copy_from_slice(&node.to_le_bytes());
         }
         (kernels().encode_rows)(&self.values, &mut out[ids_end..]);
-        buf.freeze()
-    }
-
-    /// Serializes the staged batch as a value-only buffer (one bulk
-    /// kernel call over all rows). Non-consuming.
-    pub fn finish_values(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.resize(self.value_byte_len(), 0);
-        (kernels().encode_rows)(&self.values, buf.as_mut_slice());
         buf.freeze()
     }
 
@@ -358,25 +335,26 @@ pub struct RowDecoder {
 
 impl RowDecoder {
     /// Creates a decoder for rows of length `dim`, bulk-decoding the
-    /// value region up front.
-    pub fn new(buf: Bytes, dim: usize) -> Self {
-        assert_eq!(
-            buf.len() % entry_bytes(dim),
-            0,
-            "buffer length {} not a multiple of entry size {}",
-            buf.len(),
-            entry_bytes(dim)
-        );
-        let count = buf.len() / entry_bytes(dim);
+    /// value region up front; fails with [`WireError::BadLength`] when
+    /// `buf` is not a whole number of [`entry_bytes`] entries.
+    pub fn new(buf: Bytes, dim: usize) -> Result<Self, WireError> {
+        let per = entry_bytes(dim);
+        if !buf.len().is_multiple_of(per) {
+            return Err(WireError::BadLength {
+                claimed: buf.len() / per * per,
+                actual: buf.len(),
+            });
+        }
+        let count = buf.len() / per;
         let mut values = vec![0.0; count * dim];
         (kernels().decode_rows)(&buf.as_slice()[count * 4..], &mut values);
-        Self {
+        Ok(Self {
             dim,
             buf,
             count,
             next: 0,
             values,
-        }
+        })
     }
 
     /// Decodes the next entry, exposing the row as a borrowed slice
@@ -411,59 +389,6 @@ impl RowDecoder {
     }
 }
 
-/// Iterator decoding a memoized value-only buffer produced by
-/// [`RowEncoder::finish_values`], pairing each row with the
-/// corresponding id from the receiver's cached list.
-#[derive(Debug)]
-pub struct ValueDecoder<'a> {
-    dim: usize,
-    ids: &'a [u32],
-    next: usize,
-    values: Vec<f32>,
-}
-
-impl<'a> ValueDecoder<'a> {
-    /// Creates a decoder pairing `buf`'s rows with `ids`,
-    /// bulk-decoding the whole payload up front; fails with
-    /// [`WireError::BadLength`] when the payload does not carry exactly
-    /// one row per cached id (a stale or mismatched cache).
-    pub fn new(buf: Bytes, dim: usize, ids: &'a [u32]) -> Result<Self, WireError> {
-        let claimed = ids.len() * value_bytes(dim);
-        if buf.len() != claimed {
-            return Err(WireError::BadLength {
-                claimed,
-                actual: buf.len(),
-            });
-        }
-        let mut values = vec![0.0; ids.len() * dim];
-        (kernels().decode_rows)(buf.as_slice(), &mut values);
-        Ok(Self {
-            dim,
-            ids,
-            next: 0,
-            values,
-        })
-    }
-
-    /// Decodes the next entry, exposing the row as a borrowed slice
-    /// (valid until the next call).
-    pub fn next_entry(&mut self) -> Option<(u32, &[f32])> {
-        let node = *self.ids.get(self.next)?;
-        let row = &self.values[self.next * self.dim..(self.next + 1) * self.dim];
-        self.next += 1;
-        Some((node, row))
-    }
-
-    /// Copies every remaining entry directly into `sink`'s row storage.
-    pub fn decode_into<S: RowSink>(&mut self, sink: &mut S) {
-        while let Some(&node) = self.ids.get(self.next) {
-            sink.row_mut(node)
-                .copy_from_slice(&self.values[self.next * self.dim..(self.next + 1) * self.dim]);
-            self.next += 1;
-        }
-    }
-}
-
 /// Iterator decoding a quantized buffer produced by
 /// [`RowEncoder::finish_quant`].
 ///
@@ -486,7 +411,7 @@ impl QuantDecoder {
     /// [`quant_entry_bytes`] entries.
     pub fn new(buf: Bytes, dim: usize) -> Result<Self, WireError> {
         let per = quant_entry_bytes(dim);
-        if buf.len() % per != 0 {
+        if !buf.len().is_multiple_of(per) {
             return Err(WireError::BadLength {
                 claimed: buf.len() / per * per,
                 actual: buf.len(),
@@ -543,11 +468,11 @@ impl QuantDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// Id-list memoization
+// Row-change shadows (delta mode)
 // ---------------------------------------------------------------------------
 
 /// Which protocol phase a payload belongs to; reduce and broadcast
-/// traffic between the same host pair memoize independently.
+/// traffic between the same host pair keep independent shadows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Channel {
     /// Mirror deltas shipped to the (effective) master.
@@ -556,123 +481,6 @@ pub enum Channel {
     /// responses).
     Broadcast,
 }
-
-/// Per-(sender, receiver, layer, channel) node-id-list cache driving
-/// [`WireMode::Memo`].
-///
-/// Both ends of a link hold one: the **sender** calls
-/// [`submit`](WireMemo::submit) with the id list it is about to ship —
-/// a hit (list identical to the cached one) means the receiver already
-/// knows the ids, so a value-only payload suffices; a miss updates the
-/// cache and ships id+value. The **receiver** calls
-/// [`store`](WireMemo::store) with the ids it decodes from every
-/// id+value payload and [`cached`](WireMemo::cached) to resolve
-/// value-only payloads. Because both sides derive their updates from
-/// the same payload sequence, the caches stay in lockstep without any
-/// extra coordination traffic.
-///
-/// Invalidation keeps fault plans exact: [`begin_epoch`](WireMemo::begin_epoch)
-/// clears everything at each epoch start (checkpoints cut at epoch
-/// boundaries, so a resumed run and an uninterrupted run see identical
-/// cache states), and [`observe_liveness`](WireMemo::observe_liveness)
-/// clears on any alive-set change (crash, adoption, rejoin) since
-/// routing — and therefore every id list — changes with it.
-#[derive(Debug, Default)]
-pub struct WireMemo {
-    cache: HashMap<(usize, usize, usize, Channel), Vec<u32>>,
-    live: Option<Liveness>,
-    stage: Vec<Vec<u32>>,
-}
-
-impl WireMemo {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears every cached list (call at each epoch start, both
-    /// engines).
-    pub fn begin_epoch(&mut self) {
-        self.cache.clear();
-        self.live = None;
-    }
-
-    /// Clears every cached list if the alive set changed since the last
-    /// observation. Call once per sync round before any submit/store.
-    pub fn observe_liveness(&mut self, live: &Liveness) {
-        if self.live.as_ref() != Some(live) {
-            self.cache.clear();
-            self.live = Some(live.clone());
-        }
-    }
-
-    /// Sender side: decides the layout for the payload `from` is about
-    /// to ship `to` on `(layer, channel)`. Returns `true` (hit: ship
-    /// value-only) when `ids` matches the cached list; otherwise caches
-    /// `ids` and returns `false` (miss: ship id+value).
-    pub fn submit(
-        &mut self,
-        from: usize,
-        to: usize,
-        layer: usize,
-        channel: Channel,
-        ids: &[u32],
-    ) -> bool {
-        let key = (from, to, layer, channel);
-        match self.cache.get_mut(&key) {
-            Some(cached) if cached.as_slice() == ids => true,
-            Some(cached) => {
-                cached.clear();
-                cached.extend_from_slice(ids);
-                false
-            }
-            None => {
-                self.cache.insert(key, ids.to_vec());
-                false
-            }
-        }
-    }
-
-    /// Receiver side: records the id list decoded from an id+value
-    /// payload so a later value-only payload on the same key can be
-    /// resolved.
-    pub fn store(&mut self, from: usize, to: usize, layer: usize, channel: Channel, ids: Vec<u32>) {
-        self.cache.insert((from, to, layer, channel), ids);
-    }
-
-    /// Receiver side: the cached id list for a value-only payload, if
-    /// one exists.
-    pub fn cached(&self, from: usize, to: usize, layer: usize, channel: Channel) -> Option<&[u32]> {
-        self.cache
-            .get(&(from, to, layer, channel))
-            .map(Vec::as_slice)
-    }
-
-    /// Borrow-friendly staging: takes `n` cleared scratch id-lists out
-    /// of the memo's pool (callers stage per-destination lists while
-    /// iterating structures that also borrow the memo's owner, then
-    /// [`submit`](WireMemo::submit) and [`put_stage`](WireMemo::put_stage)
-    /// them back).
-    pub fn take_stage(&mut self, n: usize) -> Vec<Vec<u32>> {
-        let mut out = std::mem::take(&mut self.stage);
-        out.resize_with(n, Vec::new);
-        out.truncate(n);
-        for v in &mut out {
-            v.clear();
-        }
-        out
-    }
-
-    /// Returns staging lists taken with [`take_stage`](WireMemo::take_stage)
-    /// so steady-state rounds reuse their allocations.
-    pub fn put_stage(&mut self, stage: Vec<Vec<u32>>) {
-        self.stage = stage;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-change shadows (delta mode)
-// ---------------------------------------------------------------------------
 
 /// The sender-side outcome of a [`DeltaShadow::submit`]: which layout a
 /// payload must use and what it costs on the wire.
@@ -720,10 +528,13 @@ impl DeltaForm {
 /// sequence, the shadows stay in lockstep without extra coordination
 /// traffic.
 ///
-/// Invalidation is identical to [`WireMemo`]:
+/// Invalidation keeps fault plans exact:
 /// [`begin_epoch`](DeltaShadow::begin_epoch) clears everything at each
-/// epoch start and [`observe_liveness`](DeltaShadow::observe_liveness)
-/// clears on any alive-set change, so the first post-fault (and
+/// epoch start (checkpoints cut at epoch boundaries, so a resumed run
+/// and an uninterrupted run see identical shadow states) and
+/// [`observe_liveness`](DeltaShadow::observe_liveness) clears on any
+/// alive-set change (crash, adoption, rejoin) since routing — and
+/// therefore every id list — changes with it. The first post-fault (and
 /// post-checkpoint-resume) exchange on every key is always a full
 /// payload.
 #[derive(Debug, Default)]
@@ -824,12 +635,11 @@ impl DeltaShadow {
     /// Receiver side: reconstructs the full `(ids, rows)` batch from a
     /// delta payload (mask + changed rows) against the shadow,
     /// advancing the shadow to the reconstructed state. Fails with
-    /// [`WireError::BadLength`] when the payload does not carry exactly
-    /// `mask_bytes(n) + popcount · value_bytes(dim)` bytes.
-    ///
-    /// A delta payload with no shadow entry is a protocol bug (the
-    /// sender only ships deltas after a full exchange on the key), so
-    /// that case panics rather than degrading silently.
+    /// [`WireError::NoShadow`] when no shadow entry exists for the key
+    /// (an honest sender only ships deltas after a full exchange on it)
+    /// and with [`WireError::BadLength`] when the payload does not carry
+    /// exactly `mask_bytes(n) + popcount · value_bytes(dim)` bytes. A
+    /// failed call leaves the shadow untouched.
     pub fn apply_delta(
         &mut self,
         from: usize,
@@ -840,10 +650,7 @@ impl DeltaShadow {
         dim: usize,
     ) -> Result<(&[u32], &[f32]), WireError> {
         let key = (from, to, layer, channel);
-        let (ids, vals) = self
-            .cache
-            .get_mut(&key)
-            .expect("delta payload with no shadow entry: protocol bug");
+        let (ids, vals) = self.cache.get_mut(&key).ok_or(WireError::NoShadow)?;
         let n = ids.len();
         let mb = mask_bytes(n);
         if payload.len() < mb {
@@ -960,8 +767,6 @@ impl QuantScratch {
 pub enum WireState {
     /// [`WireMode::IdValue`]: stateless.
     Classic,
-    /// [`WireMode::Memo`]: id-list caches.
-    Memo(WireMemo),
     /// [`WireMode::Delta`]: last-sent row shadows.
     Delta(DeltaShadow),
     /// [`WireMode::Quant`]: stateless on the wire; scratch for the
@@ -974,7 +779,6 @@ impl WireState {
     pub fn for_mode(mode: WireMode) -> Self {
         match mode {
             WireMode::IdValue => WireState::Classic,
-            WireMode::Memo => WireState::Memo(WireMemo::new()),
             WireMode::Delta => WireState::Delta(DeltaShadow::new()),
             WireMode::Quant => WireState::Quant(QuantScratch::new()),
         }
@@ -984,28 +788,25 @@ impl WireState {
     pub fn mode(&self) -> WireMode {
         match self {
             WireState::Classic => WireMode::IdValue,
-            WireState::Memo(_) => WireMode::Memo,
             WireState::Delta(_) => WireMode::Delta,
             WireState::Quant(_) => WireMode::Quant,
         }
     }
 
-    /// Clears stateful caches at an epoch start (no-op for the
-    /// stateless modes).
+    /// Clears delta shadows at an epoch start (no-op for the stateless
+    /// modes).
     pub fn begin_epoch(&mut self) {
         match self {
-            WireState::Memo(m) => m.begin_epoch(),
             WireState::Delta(d) => d.begin_epoch(),
             WireState::Classic | WireState::Quant(_) => {}
         }
     }
 
-    /// Invalidates stateful caches on any alive-set change (no-op for
-    /// the stateless modes). Call once per sync round before any
+    /// Invalidates delta shadows on any alive-set change (no-op for the
+    /// stateless modes). Call once per sync round before any
     /// submit/store.
     pub fn observe_liveness(&mut self, live: &Liveness) {
         match self {
-            WireState::Memo(m) => m.observe_liveness(live),
             WireState::Delta(d) => d.observe_liveness(live),
             WireState::Classic | WireState::Quant(_) => {}
         }
@@ -1023,19 +824,22 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"GW2V");
 /// CRC-32 `u32`, all little-endian.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// A received frame that failed validation.
+/// A received frame or payload that failed validation.
 ///
-/// The threaded engine treats any of these as a corrupted delivery: the
-/// receiver NAKs the `(sender, layer)` slot and the sender retransmits
-/// from its resend buffer.
+/// The threaded engine treats a frame that fails [`open_frame`] as a
+/// corrupted delivery: the receiver NAKs the `(sender, layer)` slot and
+/// the sender retransmits from its resend buffer. A CRC-valid payload
+/// that still fails to decode surfaces to the caller as
+/// `ClusterError::Decode` instead of a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer is shorter than a frame header, the header's length
-    /// field disagrees with the actual payload size, or a value-only
-    /// payload does not match its cached id list.
+    /// field disagrees with the actual payload size, a payload is not a
+    /// whole number of entries, or a delta payload does not carry the
+    /// rows its mask claims.
     BadLength {
-        /// Bytes the header (or cached id list) claims the payload has
-        /// (0 if no header fit).
+        /// Bytes the header (or layout) claims the payload has (0 if no
+        /// header fit).
         claimed: usize,
         /// Bytes actually present.
         actual: usize,
@@ -1049,6 +853,10 @@ pub enum WireError {
         /// Checksum computed over the received payload.
         computed: u32,
     },
+    /// A payload flagged compact (a delta mask + changed rows) arrived
+    /// for a key with no shadow entry to expand it against — including
+    /// in a wire mode that keeps no shadows.
+    NoShadow,
 }
 
 impl fmt::Display for WireError {
@@ -1061,6 +869,7 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::BadMagic => write!(f, "frame does not start with GW2V magic"),
+            WireError::NoShadow => write!(f, "compact payload with no shadow entry to expand"),
             WireError::Corrupt { expected, computed } => {
                 write!(
                     f,
@@ -1133,7 +942,7 @@ mod tests {
         assert_eq!(enc.count(), 2);
         assert_eq!(enc.byte_len(), 2 * entry_bytes(3));
         let buf = enc.finish();
-        let mut dec = RowDecoder::new(buf, 3);
+        let mut dec = RowDecoder::new(buf, 3).unwrap();
         assert_eq!(dec.remaining(), 2);
         let (n, r) = dec.next_entry().unwrap();
         assert_eq!(n, 7);
@@ -1160,15 +969,13 @@ mod tests {
         assert_eq!(&b[12..16], &2.0f32.to_le_bytes());
         assert_eq!(&b[16..20], &3.0f32.to_le_bytes());
         assert_eq!(&b[20..24], &4.0f32.to_le_bytes());
-        // The value region is byte-identical to the value-only payload.
-        assert_eq!(&b[8..], enc.finish_values().as_slice());
     }
 
     #[test]
     fn empty_buffer() {
         let enc = RowEncoder::new(5);
         assert_eq!(enc.byte_len(), 0);
-        let mut dec = RowDecoder::new(enc.finish(), 5);
+        let mut dec = RowDecoder::new(enc.finish(), 5).unwrap();
         assert!(dec.next_entry().is_none());
     }
 
@@ -1181,12 +988,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
     fn truncated_buffer_rejected() {
         let mut enc = RowEncoder::new(2);
         enc.push(0, &[1.0, 2.0]);
         let buf = enc.finish();
-        let _ = RowDecoder::new(buf.slice(0..7), 2);
+        let err = RowDecoder::new(buf.slice(0..7), 2).err().unwrap();
+        assert_eq!(
+            err,
+            WireError::BadLength {
+                claimed: 0,
+                actual: 7
+            }
+        );
     }
 
     #[test]
@@ -1200,46 +1013,9 @@ mod tests {
     fn nan_survives_roundtrip_bitwise() {
         let mut enc = RowEncoder::new(1);
         enc.push(0, &[f32::NAN]);
-        let mut dec = RowDecoder::new(enc.finish(), 1);
+        let mut dec = RowDecoder::new(enc.finish(), 1).unwrap();
         let (_, r) = dec.next_entry().unwrap();
         assert!(r[0].is_nan());
-    }
-
-    #[test]
-    fn value_only_roundtrip_against_cached_ids() {
-        let mut enc = RowEncoder::new(2);
-        enc.push(5, &[1.5, -2.0]);
-        enc.push(9, &[f32::NAN, 0.25]);
-        assert_eq!(enc.value_byte_len(), 2 * value_bytes(2));
-        assert_eq!(enc.ids(), &[5, 9]);
-        // Non-consuming: both layouts come off the same staged batch.
-        let full = enc.finish();
-        let vo = enc.finish_values();
-        assert_eq!(full.len(), 2 * entry_bytes(2));
-        assert_eq!(vo.len(), 2 * value_bytes(2));
-        let mut dec = ValueDecoder::new(vo, 2, enc.ids()).unwrap();
-        let (n, r) = dec.next_entry().unwrap();
-        assert_eq!((n, r[0], r[1]), (5, 1.5, -2.0));
-        let (n, r) = dec.next_entry().unwrap();
-        assert_eq!(n, 9);
-        assert!(r[0].is_nan() && r[1] == 0.25);
-        assert!(dec.next_entry().is_none());
-    }
-
-    #[test]
-    fn value_only_length_mismatch_rejected() {
-        let mut enc = RowEncoder::new(2);
-        enc.push(5, &[1.0, 2.0]);
-        let vo = enc.finish_values();
-        // Cached list claims two entries; payload has one.
-        let err = ValueDecoder::new(vo, 2, &[5, 9]).unwrap_err();
-        assert_eq!(
-            err,
-            WireError::BadLength {
-                claimed: 2 * value_bytes(2),
-                actual: value_bytes(2)
-            }
-        );
     }
 
     #[test]
@@ -1249,103 +1025,31 @@ mod tests {
         enc.push(3, &[-1.0, f32::NAN, 0.5]);
         let mut store = vec![vec![0.0f32; 3]; 4];
         let mut sink = |node: u32| -> *mut [f32] { store[node as usize].as_mut_slice() };
-        RowDecoder::new(enc.finish(), 3).decode_into(&mut sink);
+        RowDecoder::new(enc.finish(), 3)
+            .unwrap()
+            .decode_into(&mut sink);
         assert_eq!(store[1], &[1.0, 2.0, 3.0]);
         assert!(store[3][1].is_nan() && store[3][2] == 0.5);
-        // Same rows through the value-only path land identically.
-        let mut store2 = vec![vec![0.0f32; 3]; 4];
-        let mut sink2 = |node: u32| -> *mut [f32] { store2[node as usize].as_mut_slice() };
-        ValueDecoder::new(enc.finish_values(), 3, enc.ids())
-            .unwrap()
-            .decode_into(&mut sink2);
-        assert_eq!(store2[1], store[1]);
-        assert_eq!(store2[3][0], store[3][0]);
-    }
-
-    #[test]
-    fn memo_hit_miss_lifecycle() {
-        let mut memo = WireMemo::new();
-        let live3 = Liveness::all(3);
-        memo.observe_liveness(&live3);
-        // First submit is a miss; an identical resubmit hits.
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2, 3]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2, 3]));
-        // Different key dimensions miss independently.
-        assert!(!memo.submit(0, 1, 1, Channel::Reduce, &[1, 2, 3]));
-        assert!(!memo.submit(0, 1, 0, Channel::Broadcast, &[1, 2, 3]));
-        assert!(!memo.submit(1, 0, 0, Channel::Reduce, &[1, 2, 3]));
-        // A changed list misses and re-caches.
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        // Receiver-side store resolves value-only payloads.
-        memo.store(2, 0, 0, Channel::Broadcast, vec![7, 8]);
-        assert_eq!(memo.cached(2, 0, 0, Channel::Broadcast), Some(&[7, 8][..]));
-        assert_eq!(memo.cached(2, 0, 1, Channel::Broadcast), None);
-        // Liveness change clears everything …
-        let mut live2 = live3.clone();
-        live2.mark_dead(2);
-        memo.observe_liveness(&live2);
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        assert_eq!(memo.cached(2, 0, 0, Channel::Broadcast), None);
-        // … an unchanged observation does not.
-        memo.observe_liveness(&live2);
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-        // Epoch start clears too.
-        memo.begin_epoch();
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[1, 2]));
-    }
-
-    #[test]
-    fn memo_empty_lists_memoize_like_any_other() {
-        let mut memo = WireMemo::new();
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[]));
-        assert!(memo.submit(0, 1, 0, Channel::Reduce, &[]));
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[4]));
-        assert!(!memo.submit(0, 1, 0, Channel::Reduce, &[]));
-    }
-
-    #[test]
-    fn memo_stage_pool_recycles() {
-        let mut memo = WireMemo::new();
-        let mut stage = memo.take_stage(3);
-        assert_eq!(stage.len(), 3);
-        stage[1].extend_from_slice(&[1, 2, 3]);
-        memo.put_stage(stage);
-        let stage = memo.take_stage(2);
-        assert_eq!(stage.len(), 2);
-        assert!(
-            stage.iter().all(Vec::is_empty),
-            "stage lists come back cleared"
-        );
-        memo.put_stage(stage);
-        let stage = memo.take_stage(4);
-        assert_eq!(stage.len(), 4);
     }
 
     #[test]
     fn wire_mode_parse_and_label() {
         assert_eq!(WireMode::parse("id-value"), Some(WireMode::IdValue));
-        assert_eq!(WireMode::parse("memo"), Some(WireMode::Memo));
-        assert_eq!(WireMode::parse("memoized"), Some(WireMode::Memo));
+        assert_eq!(WireMode::parse("memo"), None);
+        assert_eq!(WireMode::parse("memoized"), None);
         assert_eq!(WireMode::parse("delta"), Some(WireMode::Delta));
         assert_eq!(WireMode::parse("quant"), Some(WireMode::Quant));
         assert_eq!(WireMode::parse("quantized"), Some(WireMode::Quant));
         assert_eq!(WireMode::parse("zip"), None);
         assert_eq!(WireMode::default(), WireMode::IdValue);
         assert_eq!(WireMode::IdValue.label(), "id-value");
-        assert_eq!(WireMode::Memo.label(), "memo");
         assert_eq!(WireMode::Delta.label(), "delta");
         assert_eq!(WireMode::Quant.label(), "quant");
     }
 
     #[test]
     fn wire_state_for_mode_roundtrips_and_dispatches() {
-        for mode in [
-            WireMode::IdValue,
-            WireMode::Memo,
-            WireMode::Delta,
-            WireMode::Quant,
-        ] {
+        for mode in [WireMode::IdValue, WireMode::Delta, WireMode::Quant] {
             let mut st = WireState::for_mode(mode);
             assert_eq!(st.mode(), mode);
             // The stateless arms are no-ops; the stateful arms clear.
@@ -1431,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_shadow_invalidation_matches_memo_rules() {
+    fn delta_shadow_invalidation_rules() {
         let mut shadow = DeltaShadow::new();
         let live3 = Liveness::all(3);
         shadow.observe_liveness(&live3);
@@ -1475,20 +1179,15 @@ mod tests {
     }
 
     #[test]
-    fn shadow_and_memo_invalidate_when_alive_set_grows_midepoch() {
-        // The rejoin=H@E case PR 5 left unpinned: a host coming *back*
-        // changes the alive set just like a crash does, and every
-        // cached id list / shadow row is stale the moment routing
-        // changes. Both caches must flush on the grow transition.
+    fn shadow_invalidates_when_alive_set_grows_midepoch() {
+        // A host coming *back* changes the alive set just like a crash
+        // does, and every shadow row is stale the moment routing
+        // changes. The shadow must flush on the grow transition.
         let mut live = Liveness::all(3);
         live.mark_dead(1);
 
-        let mut memo = WireMemo::new();
         let mut shadow = DeltaShadow::new();
-        memo.observe_liveness(&live);
         shadow.observe_liveness(&live);
-        assert!(!memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]));
-        assert!(memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]));
         let v = [1.0f32, 2.0, 3.0, 4.0];
         assert_eq!(
             shadow.submit(0, 2, 0, Channel::Reduce, &[4, 5], &v, 2),
@@ -1502,12 +1201,7 @@ mod tests {
         // Host 1 rejoins mid-epoch: alive set grows 2 → 3.
         let mut rejoined = live.clone();
         rejoined.mark_alive(1);
-        memo.observe_liveness(&rejoined);
         shadow.observe_liveness(&rejoined);
-        assert!(
-            !memo.submit(0, 2, 0, Channel::Reduce, &[4, 5]),
-            "memo must miss after a rejoin grows the alive set"
-        );
         assert_eq!(
             shadow.submit(0, 2, 0, Channel::Reduce, &[4, 5], &v, 2),
             DeltaForm::Full,
@@ -1516,16 +1210,18 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_value_only_frame_rejected_by_crc() {
-        // A value-only payload has no ids of its own — corruption can
-        // only be caught by the frame CRC (the length still matches the
-        // cached list). Pin that the typed Corrupt error fires before
-        // any decode against the cache could run.
+    fn corrupted_compact_frame_rejected_by_crc() {
+        // A delta payload has no ids of its own — corruption of a row
+        // value can only be caught by the frame CRC (the length still
+        // matches the mask). Pin that the typed Corrupt error fires
+        // before any decode against the shadow could run.
         let mut enc = RowEncoder::new(2);
         enc.push(5, &[1.5, -2.0]);
         enc.push(9, &[0.25, 4.0]);
-        let vo = enc.finish_values();
-        let frame = seal_frame(&vo);
+        let mut shadow = DeltaShadow::new();
+        shadow.store(0, 1, 0, Channel::Reduce, vec![5, 9], vec![0.0; 4]);
+        let payload = enc.finish_delta(&[0b11]);
+        let frame = seal_frame(&payload);
         // Flip one payload bit; the frame length stays valid.
         let mut bytes = frame.as_slice().to_vec();
         bytes[FRAME_HEADER_BYTES + 3] ^= 0x10;
@@ -1534,10 +1230,12 @@ mod tests {
             matches!(err, WireError::Corrupt { expected, computed } if expected != computed),
             "payload corruption must surface as WireError::Corrupt, got {err:?}"
         );
-        // The pristine frame still decodes against the cached ids.
+        // The pristine frame still decodes against the shadow.
         let payload = open_frame(&frame).unwrap();
-        let mut dec = ValueDecoder::new(payload, 2, enc.ids()).unwrap();
-        assert_eq!(dec.next_entry().unwrap().0, 5);
+        let (ids, vals) = shadow
+            .apply_delta(0, 1, 0, Channel::Reduce, &payload, 2)
+            .unwrap();
+        assert_eq!((ids, vals), (&[5, 9][..], &[1.5, -2.0, 0.25, 4.0][..]));
     }
 
     #[test]
@@ -1557,14 +1255,7 @@ mod tests {
         );
         // Mask claims one changed row but carries no row bytes.
         let err = shadow
-            .apply_delta(
-                0,
-                1,
-                0,
-                Channel::Reduce,
-                &Bytes::from(vec![0b001u8]),
-                2,
-            )
+            .apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0b001u8]), 2)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1576,10 +1267,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol bug")]
-    fn delta_without_shadow_entry_panics() {
+    fn delta_without_shadow_entry_is_an_error() {
         let mut shadow = DeltaShadow::new();
-        let _ = shadow.apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0u8]), 2);
+        let err = shadow
+            .apply_delta(0, 1, 0, Channel::Reduce, &Bytes::from(vec![0u8]), 2)
+            .unwrap_err();
+        assert_eq!(err, WireError::NoShadow);
     }
 
     #[test]

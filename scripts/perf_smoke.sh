@@ -18,7 +18,7 @@
 #      so SIMD losing to scalar means the dispatch table regressed.
 #      Healthy runs: delta ~1.1x, quant encode ~8x.
 #   4. Compressed payloads must stay ordered on a repeat-heavy Naive
-#      workload: delta <= memo <= classic total bytes, pinned by the
+#      workload: delta < classic total bytes, pinned by the
 #      `conformance_naive_wire_bytes_ordering` test.
 #
 # Parses the vendored criterion stub's output:
@@ -92,7 +92,7 @@ awk -F'\t' -v min="$MIN_SPEEDUP" -v qmin="$QUANT_MIN_SPEEDUP" '
     }
 ' "$SIMD_TSV" "$SCALAR_TSV"
 
-echo "running wire byte-ordering assertion (delta <= memo <= classic, Naive plan)..." >&2
+echo "running wire byte-ordering assertion (delta < classic, Naive plan)..." >&2
 cargo test --release -q -p graph-word2vec --test conformance \
     conformance_naive_wire_bytes_ordering
 
